@@ -5,7 +5,12 @@
 //! rate over {0, 25, 100, 400} per 10,000 requests (plus a constant trickle
 //! of injected errors) for each service workload, and records what fault
 //! tolerance costs: goodput, shed/failed counts, per-batch snapshot
-//! overhead, and mean rollback-plus-bisection recovery latency.  Every run
+//! overhead, and mean rollback-plus-bisection recovery latency.  The
+//! `churn` row (insert/delete/lookup turnover) runs [`CHURN_LENGTH`] times
+//! as many requests as the others, so its hash table purges and shrinks
+//! several times mid-run and panicked batches roll back across those
+//! rebuilds; its `snapshot_us_per_batch` is the per-batch checkpoint cost
+//! under sustained churn.  Every run
 //! is validated — no wedged tickets, exact poison isolation, and digest
 //! parity against a fault-free oneshot replay of the applied requests —
 //! and `"all_valid"` gates CI.
@@ -16,7 +21,7 @@
 //! cargo run -p qrqw-bench --release --bin chaos_bench               # full sweep
 //! cargo run -p qrqw-bench --release --bin chaos_bench -- \
 //!     [--requests N] [--window N] [--batch-max N] \
-//!     [--panic-rates 0,25,100,400] [--workloads hash,counter,task] \
+//!     [--panic-rates 0,25,100,400] [--workloads hash,counter,task,churn] \
 //!     [--threads T] [--seed S] [--smoke] [--json-out BENCH_chaos.json]
 //! ```
 //!
@@ -31,6 +36,9 @@ use qrqw_bench::chaos::{chaos_report_json, run_chaos, ChaosSpec, FaultPlan};
 use qrqw_bench::report::write_json_file;
 use qrqw_bench::service::ServiceWorkload;
 use qrqw_serve::{BatchPolicy, ServiceConfig};
+
+/// How many times `--requests` the churn row submits.
+const CHURN_LENGTH: usize = 10;
 
 struct Cli {
     requests: usize,
@@ -48,7 +56,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: chaos_bench [--requests N] [--window N] [--batch-max N] \
-         [--panic-rates N,N] [--workloads hash,counter,task] [--threads T] \
+         [--panic-rates N,N] [--workloads hash,counter,task,churn] [--threads T] \
          [--seed S] [--smoke] [--json-out PATH]"
     );
     std::process::exit(2);
@@ -60,7 +68,12 @@ fn parse_args() -> Cli {
         window: 64,
         batch_max: 64,
         panic_rates: vec![0, 25, 100, 400],
-        workloads: ServiceWorkload::ALL.to_vec(),
+        workloads: vec![
+            ServiceWorkload::Hash,
+            ServiceWorkload::Counter,
+            ServiceWorkload::Task,
+            ServiceWorkload::Churn,
+        ],
         threads: None,
         seed: 1,
         smoke: false,
@@ -136,9 +149,10 @@ fn main() {
         cli.requests
     };
     println!(
-        "chaos_bench: {} requests, window {}, batch_max {}, panic rates {:?}/10k, \
-         workloads {:?}, seed {}, threads {}{}",
+        "chaos_bench: {} requests ({} for churn), window {}, batch_max {}, \
+         panic rates {:?}/10k, workloads {:?}, seed {}, threads {}{}",
         requests,
+        requests * CHURN_LENGTH,
         cli.window,
         cli.batch_max,
         cli.panic_rates,
@@ -162,7 +176,11 @@ fn main() {
             .from_env();
             let spec = ChaosSpec {
                 workload,
-                requests,
+                requests: if workload == ServiceWorkload::Churn {
+                    requests * CHURN_LENGTH
+                } else {
+                    requests
+                },
                 window: cli.window,
                 keyspace: 512,
                 seed: cli.seed,

@@ -1,11 +1,11 @@
 //! Machine-resident open-addressing hash set with tombstone deletion.
 //!
-//! This is the churn-capable generalization of the insert-only table the
-//! service layer grew in PR 6: a region of `cap` (power-of-two) cells in
-//! machine shared memory, double-hash probe sequences, inserts by rounds of
-//! occupy-mode [`Machine::claim`]s (a batch of inserts is exactly the
-//! paper's low-contention cell-claiming step), lookups as one parallel
-//! probe step — plus **deletion**.  A deleted key's cell is overwritten
+//! This is the churn-capable generalization of an insert-only hash table:
+//! a region of `cap` (power-of-two) cells in machine shared memory,
+//! double-hash probe sequences, inserts by rounds of occupy-mode
+//! [`Machine::claim`]s (a batch of inserts is exactly the paper's
+//! low-contention cell-claiming step), lookups as one parallel probe step
+//! — plus **deletion**.  A deleted key's cell is overwritten
 //! with the [`TOMBSTONE`] sentinel rather than [`EMPTY`], which keeps every
 //! other key's probe walk intact:
 //!
@@ -16,23 +16,44 @@
 //!   key lands on the first empty cell of its probe order — exactly where
 //!   its own lookup walk terminates.
 //!
+//! # Rebuilds
+//!
 //! The load invariant is `2 · (len + tombstones) ≤ cap` on entry to every
 //! insert batch: tombstones count against the load factor because they
 //! lengthen probe walks exactly like live keys.  [`OpenTable::insert_new`]
-//! restores the invariant by **rebuilding** — re-inserting only the live
-//! keys into a fresh (possibly larger) region, which is the growth-time
-//! tombstone purge — and a delete-heavy workload triggers the same purge
-//! once tombstones alone exceed a quarter of the capacity, so sustained
-//! churn cannot degrade probes without bound.  The old region is abandoned
-//! (the machine allocator is a stack; a long-lived region cannot be freed
-//! from the middle), which is the same trade the service layer already
-//! makes for growth.
+//! restores it by **rebuilding** — re-inserting only the live keys, which
+//! purges every tombstone — and a delete-heavy workload triggers the same
+//! purge once tombstones alone exceed a quarter of the capacity, so
+//! sustained churn cannot degrade probes without bound.
+//!
+//! Every rebuild — growth, purge or shrink — sizes the table by one rule:
+//! the smallest power-of-two `cap ≥ 64` with `8 · (len + additional) ≤
+//! 3 · cap`, so the load right after a rebuild is at most 3/8.  The next
+//! trigger is then at least `cap/8` inserts or `cap/4` deletes away, which
+//! makes rebuild work amortized O(1) per operation, and a live set that
+//! falls far below the capacity shrinks the table at its next purge.
+//!
+//! A rebuild **reuses the region the table already owns**, so the
+//! footprint is O(live keys) however long the churn runs:
+//!
+//! * same or smaller capacity: the first `cap` cells are cleared and the
+//!   live keys re-inserted at the same base; when the region is the top of
+//!   the machine's (stack) allocator, the cells past the new capacity are
+//!   released;
+//! * larger capacity at the top of the allocator: the region is released
+//!   and re-allocated at the same base, grown in place;
+//! * larger capacity *below* another allocation: the only case that takes
+//!   a fresh region past the allocation top, abandoning the old one (a
+//!   stack allocator cannot grow a region from the middle).  The service
+//!   and the churn scenarios allocate their tables last and release every
+//!   scratch allocation, so their tables are always at the top.
 //!
 //! Every operation is deterministic on every backend: occupy-claim winners
 //! are the lowest claimant index everywhere (see `qrqw_sim::Machine::claim`),
-//! and rebuild triggers depend only on host-side counters — so a churn
-//! trace drives bit-identical table states across sim, native, stealing
-//! and BSP machines, which is what `tests/scenarios.rs` pins.
+//! and rebuild triggers and placement depend only on host-side counters and
+//! the allocator's top — so a churn trace drives bit-identical table states
+//! across sim, native, stealing and BSP machines, which is what
+//! `tests/scenarios.rs` pins.
 
 use qrqw_sim::{ClaimMode, Machine, EMPTY};
 
@@ -211,8 +232,7 @@ impl OpenTable {
         self.len -= keys.len();
         self.tombstones += keys.len();
         if 4 * self.tombstones > self.cap {
-            let cap = self.cap;
-            self.rebuild(m, cap);
+            self.rebuild(m, 0);
         }
     }
 
@@ -255,32 +275,49 @@ impl OpenTable {
     }
 
     /// Restores the load invariant for `additional` more keys: rebuilds
-    /// into a fresh region — doubling while needed, and always purging
-    /// every tombstone — whenever live + tombstoned cells would pass half
-    /// full.  A rebuild triggered by tombstones alone keeps the same
-    /// capacity; the purge is the point.
+    /// (see [`OpenTable::rebuild`]) whenever live + tombstoned cells would
+    /// pass half full.
     fn reserve<M: Machine>(&mut self, m: &mut M, additional: usize) {
-        if 2 * (self.len + self.tombstones + additional) <= self.cap {
-            return;
+        if 2 * (self.len + self.tombstones + additional) > self.cap {
+            self.rebuild(m, additional);
         }
-        let mut new_cap = self.cap;
-        while 2 * (self.len + additional) > new_cap {
-            new_cap *= 2;
-        }
-        self.rebuild(m, new_cap);
     }
 
-    /// Re-inserts the live keys into a fresh region of `new_cap` cells,
-    /// dropping every tombstone.  The old region is abandoned (stack
-    /// allocator).
-    fn rebuild<M: Machine>(&mut self, m: &mut M, new_cap: usize) {
+    /// Re-inserts the live keys into a region sized by [`sized_capacity`]
+    /// for `additional` more keys, dropping every tombstone.  The region is
+    /// reused in place unless it must grow below another allocation (see
+    /// the module docs).
+    fn rebuild<M: Machine>(&mut self, m: &mut M, additional: usize) {
         let live = self.live_keys(m);
-        debug_assert_eq!(live.len(), self.len, "occupancy counter drifted");
-        self.base = m.alloc(new_cap);
+        assert_eq!(live.len(), self.len, "occupancy counter drifted");
+        let new_cap = sized_capacity(self.len + additional);
+        let at_top = self.base + self.cap == m.heap_top();
+        if new_cap <= self.cap {
+            m.clear_region(self.base, new_cap);
+            if at_top {
+                m.release_to(self.base + new_cap);
+            }
+        } else {
+            if at_top {
+                m.release_to(self.base);
+            }
+            // `alloc` clears every reused cell.
+            self.base = m.alloc(new_cap);
+        }
         self.cap = new_cap;
         self.tombstones = 0;
         self.insert_rounds(m, &live);
     }
+}
+
+/// The rebuild sizing rule: the smallest power-of-two capacity of at least
+/// 64 cells holding `keys` at a load of at most 3/8.
+fn sized_capacity(keys: usize) -> usize {
+    let mut cap = 64;
+    while 8 * keys > 3 * cap {
+        cap *= 2;
+    }
+    cap
 }
 
 #[cfg(test)]
@@ -381,5 +418,54 @@ mod tests {
         assert_eq!(u.geometry(), g);
         assert_eq!(u.len(), 2);
         assert_eq!(u.tombstones(), 1);
+    }
+
+    #[test]
+    fn sizing_rule_keeps_the_load_at_most_three_eighths() {
+        assert_eq!(sized_capacity(0), 64);
+        assert_eq!(sized_capacity(24), 64);
+        assert_eq!(sized_capacity(25), 128);
+        // 17,408 live keys plus a 256-key batch stay in 2^16 cells.
+        assert_eq!(sized_capacity(17_408 + 256), 1 << 16);
+        // 2,000 keys leave the 4,096-cell default (load 0.49) for 8,192.
+        assert_eq!(sized_capacity(2_000), 8_192);
+    }
+
+    #[test]
+    fn a_purge_shrinks_the_table_to_its_live_set() {
+        let mut m = Pram::with_seed(16, 8);
+        let mut t = OpenTable::new(&mut m, 64);
+        let ks: Vec<u64> = (0..300).collect();
+        t.insert_new(&mut m, &ks);
+        assert_eq!(t.capacity(), 1024);
+        // Tombstones pass cap/4 = 256 at the 257th delete.
+        t.remove_present(&mut m, &ks[..290]);
+        assert_eq!(t.capacity(), 64, "10 live keys must shrink to 64 cells");
+        assert_eq!(t.tombstones(), 0);
+        let g = t.geometry();
+        assert_eq!(
+            m.heap_top(),
+            g.base + 64,
+            "the shrink must release the tail"
+        );
+        assert!(t.lookup(&mut m, &ks[290..]).iter().all(|&f| f));
+        assert!(t.lookup(&mut m, &ks[..290]).iter().all(|&f| !f));
+    }
+
+    #[test]
+    fn growth_stays_in_place_only_at_the_allocation_top() {
+        let mut m = Pram::with_seed(16, 9);
+        let mut t = OpenTable::new(&mut m, 64);
+        let base = t.geometry().base;
+        let ks: Vec<u64> = (0..100).collect();
+        t.insert_new(&mut m, &ks[..40]);
+        assert_eq!((t.geometry().base, t.capacity()), (base, 128));
+        assert_eq!(m.heap_top(), base + 128);
+        // Another allocation above the table: growth must move past it.
+        let above = m.alloc(8);
+        t.insert_new(&mut m, &ks[40..]);
+        assert_eq!(t.capacity(), 512);
+        assert_eq!(t.geometry().base, above + 8);
+        assert!(t.lookup(&mut m, &ks).iter().all(|&f| f));
     }
 }

@@ -7,7 +7,7 @@
 //!   addressing, double-hash probe sequences; inserts are occupy-mode
 //!   `Machine::claim`s, so a batch of inserts is exactly the paper's
 //!   low-contention cell-claiming step; deletes tombstone their cell, and
-//!   growth rebuilds purge the tombstones);
+//!   rebuilds purge the tombstones);
 //! * a machine-resident **counter bank** (a batch of adds/reads is one
 //!   emulated Fetch&Add step, Lemma 7.5);
 //! * a **task pool** (host-side FIFO index; every batch with task traffic
@@ -19,6 +19,17 @@
 //! the parity tests: running a request trace through the batcher under any
 //! batching policy must leave the same observable state as applying the
 //! whole trace as one batch.
+//!
+//! # Footprint
+//!
+//! The batcher checkpoints before every batch, and a checkpoint copies the
+//! machine's whole allocated prefix `[0, heap_top)`, so the footprint is a
+//! fixed cost of every batch.  The counter bank has a fixed size, every
+//! Fetch&Add and load-balancing step releases its scratch, and the hash
+//! table rebuilds inside the region it owns, sized by its live set (load at
+//! most 3/8 after a rebuild).  The footprint, and with it the per-batch
+//! checkpoint, therefore depends on the live state and never on the churn
+//! history; `tests/soak.rs` pins this over 10^4 churn batches.
 //!
 //! # Batch semantics (the partition-invariance contract)
 //!
@@ -64,8 +75,9 @@ pub struct ServiceConfig {
     pub num_counters: usize,
     /// Virtual processors the task pool balances over.
     pub task_procs: usize,
-    /// Initial hash-table capacity (rounded up to a power of two; the
-    /// table grows whenever it would exceed half full).
+    /// Initial hash-table capacity (rounded up to a power of two; each
+    /// rebuild then resizes the table to its live set, see
+    /// [`OpenTable`]).
     pub hash_capacity: usize,
 }
 
@@ -98,7 +110,8 @@ pub struct StateDigest {
 #[derive(Debug)]
 struct HashSetState {
     /// The table itself ([`OpenTable`]: double-hash probes, occupy-claim
-    /// insert rounds, tombstone deletes, growth-time tombstone purge).
+    /// insert rounds, tombstone deletes, in-place rebuilds sized to the
+    /// live set).
     table: OpenTable,
     /// Host mirror of the present keys (bookkeeping only; the machine
     /// region is the measured artifact and the digest's source of truth).
@@ -128,6 +141,14 @@ pub struct ServiceCheckpoint {
     hash_mirror: HashSet<u64>,
     pending: BTreeMap<u64, u64>,
     next_seq: u64,
+}
+
+impl ServiceCheckpoint {
+    /// The machine's allocation top at checkpoint time — also the number of
+    /// cells the checkpoint copied, so its per-batch cost.
+    pub fn heap_top(&self) -> usize {
+        self.machine.heap_top()
+    }
 }
 
 /// The live service state: persistent machine + workload structures.
@@ -453,10 +474,11 @@ impl ServiceState {
         self.pm.machine_ref().threads()
     }
 
-    /// The shape of the machine's sharded arena.  A long-lived service
-    /// grows its hash table and allocator live across batches; the arena
-    /// appends shards without moving cells, so growth mid-service never
-    /// pays a realloc copy or a transient 2× footprint.
+    /// The shape of the machine's sharded arena.  The arena appends shards
+    /// without moving cells, so growth mid-service never pays a realloc
+    /// copy or a transient 2× footprint; the hash table rebuilds in place
+    /// and sizes itself to the live set, so steady churn does not grow the
+    /// arena at all.
     pub fn arena_stats(&self) -> qrqw_exec::ArenaStats {
         self.pm.arena_stats()
     }
@@ -597,6 +619,31 @@ mod tests {
         assert_eq!(s.hash_tombstones(), 0, "tombstone count rewinds");
         let (resp, _) = s.apply_batch(&[Request::HashLookup { key: 0 }]);
         assert_eq!(resp[0], Ok(Reply::Found(true)));
+    }
+
+    #[test]
+    fn checkpoint_restore_rewinds_an_in_place_shrink() {
+        let mut s = state();
+        let inserts: Vec<Request> = (0..300).map(|k| Request::HashInsert { key: k }).collect();
+        let _ = s.apply_batch(&inserts);
+        let (cap, top) = (s.hash_capacity(), s.checkpoint().heap_top());
+        let before = s.digest();
+        let ck = s.checkpoint();
+        // Past cap/4 tombstones the purge shrinks the table inside its own
+        // region and releases the tail.
+        let deletes: Vec<Request> = (0..290).map(|k| Request::HashDelete { key: k }).collect();
+        let _ = s.apply_batch(&deletes);
+        assert!(s.hash_capacity() < cap, "the purge must shrink the table");
+        assert!(
+            s.checkpoint().heap_top() < top,
+            "the shrink must release cells"
+        );
+        s.restore(&ck);
+        assert_eq!(s.digest(), before);
+        assert_eq!((s.hash_capacity(), s.hash_tombstones()), (cap, 0));
+        let lookups: Vec<Request> = (0..300).map(|k| Request::HashLookup { key: k }).collect();
+        let (resp, _) = s.apply_batch(&lookups);
+        assert!(resp.iter().all(|r| *r == Ok(Reply::Found(true))));
     }
 
     #[test]
@@ -757,7 +804,8 @@ mod tests {
         let before = s.digest();
         let ck = s.checkpoint();
         // Mutate everything the checkpoint must cover, including a table
-        // reserve (base/cap move, old region abandoned) and task churn.
+        // reserve (the region grows in place, raising the allocation top)
+        // and task churn.
         let mut churn: Vec<Request> = (100..300).map(|k| Request::HashInsert { key: k }).collect();
         churn.push(Request::CounterAdd {
             counter: 1,

@@ -29,11 +29,13 @@ use qrqw_suite::algos::{
     emulate_fetch_add_step, is_cyclic, is_permutation, load_balance_erew, load_balance_qrqw,
     multiple_compaction, random_cyclic_permutation_efficient, random_cyclic_permutation_fast,
     random_permutation_dart_scan, random_permutation_qrqw, random_permutation_sorting_erew,
-    sample_sort_crqw, sample_sort_qrqw, sort_uniform_keys, McResult, QrqwHashTable,
+    sample_sort_crqw, sample_sort_qrqw, sort_uniform_keys, McResult, OpenTable, QrqwHashTable,
 };
 use qrqw_suite::prims::listrank::NIL;
 use qrqw_suite::prims::{linear_compaction, list_rank, pack, radix_sort_packed, unpack_key};
 use qrqw_suite::sim::{ClaimMode, Machine, Pram, EMPTY};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Deterministic distinct keys below `2^31 − 1` — the same generator the
 /// `backend_bench` registry validators use, so the parity tests and the
@@ -412,6 +414,84 @@ pub fn hashing_answers_membership_exactly<M: Machine>() {
     }
 }
 
+/// The churn-capable [`OpenTable`] answers exactly like a `HashSet` under
+/// seeded random churn whose insert-heavy, balanced and delete-heavy
+/// phases straddle the growth, purge and shrink thresholds: `lookup` and
+/// `live_keys` agree with the model after every batch, the table stays at
+/// the allocation top (a rebuild reuses its region), and the backend
+/// executes the simulator's exact step and claim counts.
+pub fn open_table_matches_a_hash_set<M: Machine>() {
+    const KEYSPACE: u64 = 1200;
+    for seed in [3u64, 19] {
+        let mut reference = Pram::with_seed(16, seed);
+        let mut m = M::with_seed(16, seed);
+        let mut t_ref = OpenTable::new(&mut reference, 64);
+        let mut t = OpenTable::new(&mut m, 64);
+        let mut model: HashSet<u64> = HashSet::new();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (mut grew, mut purged, mut shrank) = (false, false, false);
+        for batch in 0..180 {
+            // 30-batch phases: insert-heavy, balanced, delete-heavy.
+            let insert_pct = [85, 50, 10][(batch / 30) % 3];
+            let mut touched = HashSet::new();
+            let (mut new_keys, mut dead_keys) = (Vec::new(), Vec::new());
+            for _ in 0..rng.gen_range(1..120u64) {
+                let key = rng.gen_range(0..KEYSPACE);
+                if !touched.insert(key) {
+                    continue;
+                }
+                let insert = rng.gen_range(0..100u64) < insert_pct;
+                match (insert, model.contains(&key)) {
+                    (true, false) => new_keys.push(key),
+                    (false, true) => dead_keys.push(key),
+                    _ => {}
+                }
+            }
+            let before = (t.capacity(), t.tombstones());
+            t_ref.remove_present(&mut reference, &dead_keys);
+            t_ref.insert_new(&mut reference, &new_keys);
+            t.remove_present(&mut m, &dead_keys);
+            t.insert_new(&mut m, &new_keys);
+            for key in &dead_keys {
+                model.remove(key);
+            }
+            model.extend(&new_keys);
+
+            let after = (t.capacity(), t.tombstones());
+            grew |= after.0 > before.0;
+            shrank |= after.0 < before.0;
+            purged |= after.0 == before.0 && after.1 < before.1 + dead_keys.len();
+            assert_eq!(t.geometry(), t_ref.geometry(), "batch {batch}: geometry");
+            assert_eq!(
+                m.heap_top(),
+                t.geometry().base + t.capacity(),
+                "batch {batch}: the table left the allocation top"
+            );
+            let probes: Vec<u64> = (0..64).map(|_| rng.gen_range(0..KEYSPACE)).collect();
+            let want: Vec<bool> = probes.iter().map(|k| model.contains(k)).collect();
+            assert_eq!(t.lookup(&mut m, &probes), want, "batch {batch}: lookup");
+            // The reference probes too, keeping the step counters in step.
+            t_ref.lookup(&mut reference, &probes);
+            let mut live = t.live_keys(&m);
+            live.sort_unstable();
+            let mut expect: Vec<u64> = model.iter().copied().collect();
+            expect.sort_unstable();
+            assert_eq!(live, expect, "batch {batch}: live keys");
+
+            let (got, want) = (m.cost_report(), reference.cost_report());
+            assert_eq!(
+                (got.steps, got.claim_attempts, got.contended_claims),
+                (want.steps, want.claim_attempts, want.contended_claims),
+                "batch {batch}: step and claim counts diverged from the simulator"
+            );
+        }
+        assert!(
+            grew && purged && shrank,
+            "seed {seed}: churn missed a threshold (grew {grew}, purged {purged}, shrank {shrank})"
+        );
+    }
+}
+
 /// The §7 sorts' placement phases race through occupy claims, but a
 /// multiset has exactly one sorted order, so the outputs must equal the
 /// std-sort reference bit for bit.
@@ -528,6 +608,11 @@ macro_rules! parity_suite {
             #[test]
             fn hashing_answers_membership_exactly() {
                 crate::common::parity::hashing_answers_membership_exactly::<$machine>();
+            }
+
+            #[test]
+            fn open_table_matches_a_hash_set() {
+                crate::common::parity::open_table_matches_a_hash_set::<$machine>();
             }
 
             #[test]
