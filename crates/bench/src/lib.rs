@@ -18,8 +18,6 @@
 //!   layer (committed `BENCH_chaos.json`): goodput, shed rate, snapshot
 //!   overhead and recovery latency vs. fault rate, with digest-parity and
 //!   no-wedged-ticket validators (see [`chaos`]).
-//!
-//! Criterion benches (`cargo bench -p qrqw-bench`) time the same workloads.
 
 #![deny(missing_docs)]
 

@@ -235,13 +235,14 @@ impl Scenario {
             // then deletes, then inserts.
             if !lookups.is_empty() {
                 let keys: Vec<u64> = lookups.iter().map(|&(k, _)| k).collect();
-                let found = table.lookup(m, &keys);
+                let found = table.locate(m, &keys);
                 valid &= found
                     .iter()
                     .zip(&lookups)
-                    .all(|(&got, &(_, want))| got == want);
+                    .all(|(got, &(_, want))| got.is_some() == want);
             }
-            table.remove_present(m, &dead_keys);
+            let dead_cells = table.locate(m, &dead_keys);
+            table.remove(m, &dead_cells);
             table.insert_new(m, &new_keys);
             for &key in &dead_keys {
                 model.remove(&key);

@@ -4,17 +4,19 @@
 //! a region of `cap` (power-of-two) cells in machine shared memory,
 //! double-hash probe sequences, inserts by rounds of occupy-mode
 //! [`Machine::claim`]s (a batch of inserts is exactly the paper's
-//! low-contention cell-claiming step), lookups as one parallel probe step
-//! — plus **deletion**.  A deleted key's cell is overwritten
-//! with the [`TOMBSTONE`] sentinel rather than [`EMPTY`], which keeps every
-//! other key's probe walk intact:
+//! low-contention cell-claiming step) — plus **deletion**.  One probe walk,
+//! [`OpenTable::locate`], serves both lookups and deletes: a single
+//! parallel probe step returns each key's cell, membership is whether a
+//! cell was found, and [`OpenTable::remove`] tombstones the cells found.
+//! A deleted key's cell is overwritten with the [`TOMBSTONE`] sentinel
+//! rather than [`EMPTY`], which keeps every other key's probe walk intact:
 //!
-//! * **lookups** stop only at [`EMPTY`]; a tombstoned cell is skipped, so
+//! * **probes** stop only at [`EMPTY`]; a tombstoned cell is skipped, so
 //!   keys placed past it are still found;
 //! * **inserts** claim only [`EMPTY`] cells (the claim protocol's probe
 //!   pass rejects any occupied cell, tombstones included), so a reinserted
 //!   key lands on the first empty cell of its probe order — exactly where
-//!   its own lookup walk terminates.
+//!   its own probe walk terminates.
 //!
 //! # Rebuilds
 //!
@@ -154,23 +156,29 @@ impl OpenTable {
         self.tombstones = g.tombstones;
     }
 
-    /// One parallel probe step answering membership for `keys` against the
-    /// current table.  Tombstoned cells are skipped; only [`EMPTY`]
-    /// terminates a walk.
-    pub fn lookup<M: Machine>(&self, m: &mut M, keys: &[u64]) -> Vec<bool> {
+    /// One parallel probe step locating `keys` in the current table: each
+    /// key's cell, or `None` when it is absent.  Tombstoned cells are
+    /// skipped; only [`EMPTY`] terminates a walk.  This is the table's only
+    /// probe walk — membership is `is_some()`, and [`OpenTable::remove`]
+    /// takes the cells it found.  An empty `keys` issues no step.
+    pub fn locate<M: Machine>(&self, m: &mut M, keys: &[u64]) -> Vec<Option<usize>> {
+        if keys.is_empty() {
+            return Vec::new();
+        }
         let (base, cap) = (self.base, self.cap);
         m.par_map(keys.len(), |i, ctx| {
             let key = keys[i];
             for r in 0..cap as u64 {
-                let v = ctx.read(base + probe_cell(key, r, cap));
+                let cell = probe_cell(key, r, cap);
+                let v = ctx.read(base + cell);
                 if v == EMPTY {
-                    return false;
+                    return None;
                 }
                 if v == key + 1 {
-                    return true;
+                    return Some(cell);
                 }
             }
-            false
+            None
         })
     }
 
@@ -192,45 +200,31 @@ impl OpenTable {
         self.len += keys.len();
     }
 
-    /// Tombstones `keys` (distinct, and present in the table): one parallel
-    /// probe step locates each key's cell, one exclusive-write step marks
-    /// it.  Triggers a purge rebuild when tombstones pass a quarter of the
-    /// capacity, so delete-heavy churn keeps probe walks short.
+    /// Tombstones the cells [`OpenTable::locate`] found for distinct keys,
+    /// in one exclusive-write step.  Triggers a purge rebuild when
+    /// tombstones pass a quarter of the capacity, so delete-heavy churn
+    /// keeps probe walks short.
     ///
     /// # Panics
     ///
-    /// If any key is absent — deletion of a missing key is a caller
-    /// contract violation, exactly like duplicate insertion.
-    pub fn remove_present<M: Machine>(&mut self, m: &mut M, keys: &[u64]) {
-        if keys.is_empty() {
+    /// If any key was absent (`None`) — deletion of a missing key is a
+    /// caller contract violation, exactly like duplicate insertion.
+    pub fn remove<M: Machine>(&mut self, m: &mut M, cells: &[Option<usize>]) {
+        if cells.is_empty() {
             return;
         }
-        let (base, cap) = (self.base, self.cap);
-        let cells: Vec<u64> = m.par_map(keys.len(), |i, ctx| {
-            let key = keys[i];
-            for r in 0..cap as u64 {
-                let cell = probe_cell(key, r, cap);
-                let v = ctx.read(base + cell);
-                if v == EMPTY {
-                    break;
-                }
-                if v == key + 1 {
-                    return cell as u64;
-                }
-            }
-            EMPTY
-        });
-        assert!(
-            cells.iter().all(|&c| c != EMPTY),
-            "remove_present: a key was absent from the table"
-        );
+        let cells: Vec<usize> = cells
+            .iter()
+            .map(|c| c.expect("remove: a key was absent from the table"))
+            .collect();
+        let base = self.base;
         // Distinct keys occupy distinct cells, so the marking step is
         // exclusive-write (contention 1 per cell).
-        m.par_for(keys.len(), |i, ctx| {
-            ctx.write(base + cells[i] as usize, TOMBSTONE);
+        m.par_for(cells.len(), |i, ctx| {
+            ctx.write(base + cells[i], TOMBSTONE);
         });
-        self.len -= keys.len();
-        self.tombstones += keys.len();
+        self.len -= cells.len();
+        self.tombstones += cells.len();
         if 4 * self.tombstones > self.cap {
             self.rebuild(m, 0);
         }
@@ -329,6 +323,15 @@ mod tests {
         range.map(|k| k.wrapping_mul(0x5DEE_CE66) % 5000).collect()
     }
 
+    fn found(t: &OpenTable, m: &mut Pram, keys: &[u64]) -> Vec<bool> {
+        t.locate(m, keys).iter().map(Option::is_some).collect()
+    }
+
+    fn delete(t: &mut OpenTable, m: &mut Pram, keys: &[u64]) {
+        let cells = t.locate(m, keys);
+        t.remove(m, &cells);
+    }
+
     #[test]
     fn insert_lookup_remove_round_trip() {
         let mut m = Pram::with_seed(16, 1);
@@ -336,11 +339,11 @@ mod tests {
         let ks = keys(0..20);
         t.insert_new(&mut m, &ks);
         assert_eq!(t.len(), 20);
-        assert!(t.lookup(&mut m, &ks).iter().all(|&f| f));
+        assert!(found(&t, &mut m, &ks).iter().all(|&f| f));
         let dead: Vec<u64> = ks.iter().copied().step_by(2).collect();
-        t.remove_present(&mut m, &dead);
+        delete(&mut t, &mut m, &dead);
         assert_eq!(t.len(), 10);
-        let found = t.lookup(&mut m, &ks);
+        let found = found(&t, &mut m, &ks);
         for (i, &f) in found.iter().enumerate() {
             assert_eq!(f, i % 2 == 1, "key index {i} after deleting evens");
         }
@@ -357,10 +360,10 @@ mod tests {
         let mut t = OpenTable::new(&mut m, 64);
         let ks = keys(0..16);
         t.insert_new(&mut m, &ks);
-        t.remove_present(&mut m, &ks[..8]);
+        delete(&mut t, &mut m, &ks[..8]);
         t.insert_new(&mut m, &ks[..8]);
         assert_eq!(t.len(), 16);
-        assert!(t.lookup(&mut m, &ks).iter().all(|&f| f));
+        assert!(found(&t, &mut m, &ks).iter().all(|&f| f));
     }
 
     #[test]
@@ -369,7 +372,7 @@ mod tests {
         let mut t = OpenTable::new(&mut m, 64);
         let ks = keys(0..30);
         t.insert_new(&mut m, &ks);
-        t.remove_present(&mut m, &ks[..10]);
+        delete(&mut t, &mut m, &ks[..10]);
         assert!(t.tombstones() > 0);
         // Force the load invariant past half full: the rebuild must both
         // grow and drop every tombstone.
@@ -377,9 +380,9 @@ mod tests {
         t.insert_new(&mut m, &more);
         assert_eq!(t.tombstones(), 0, "growth must purge tombstones");
         assert_eq!(t.len(), 60);
-        assert!(t.lookup(&mut m, &more).iter().all(|&f| f));
-        assert!(t.lookup(&mut m, &ks[10..]).iter().all(|&f| f));
-        assert!(t.lookup(&mut m, &ks[..10]).iter().all(|&f| !f));
+        assert!(found(&t, &mut m, &more).iter().all(|&f| f));
+        assert!(found(&t, &mut m, &ks[10..]).iter().all(|&f| f));
+        assert!(found(&t, &mut m, &ks[..10]).iter().all(|&f| !f));
     }
 
     #[test]
@@ -390,11 +393,11 @@ mod tests {
         t.insert_new(&mut m, &ks);
         // Deleting past cap/4 = 16 tombstones must trigger the purge
         // rebuild on the delete path itself, keeping the same capacity.
-        t.remove_present(&mut m, &ks[..20]);
+        delete(&mut t, &mut m, &ks[..20]);
         assert_eq!(t.tombstones(), 0, "delete-heavy churn must purge");
         assert_eq!(t.capacity(), 64);
         assert_eq!(t.len(), 10);
-        assert!(t.lookup(&mut m, &ks[20..]).iter().all(|&f| f));
+        assert!(found(&t, &mut m, &ks[20..]).iter().all(|&f| f));
     }
 
     #[test]
@@ -403,7 +406,7 @@ mod tests {
         let mut m = Pram::with_seed(16, 5);
         let mut t = OpenTable::new(&mut m, 64);
         t.insert_new(&mut m, &[1, 2, 3]);
-        t.remove_present(&mut m, &[99]);
+        delete(&mut t, &mut m, &[99]);
     }
 
     #[test]
@@ -411,7 +414,7 @@ mod tests {
         let mut m = Pram::with_seed(16, 6);
         let mut t = OpenTable::new(&mut m, 64);
         t.insert_new(&mut m, &[5, 6, 7]);
-        t.remove_present(&mut m, &[5]);
+        delete(&mut t, &mut m, &[5]);
         let g = t.geometry();
         let mut u = OpenTable::new(&mut m, 64);
         u.restore_geometry(g);
@@ -439,7 +442,7 @@ mod tests {
         t.insert_new(&mut m, &ks);
         assert_eq!(t.capacity(), 1024);
         // Tombstones pass cap/4 = 256 at the 257th delete.
-        t.remove_present(&mut m, &ks[..290]);
+        delete(&mut t, &mut m, &ks[..290]);
         assert_eq!(t.capacity(), 64, "10 live keys must shrink to 64 cells");
         assert_eq!(t.tombstones(), 0);
         let g = t.geometry();
@@ -448,8 +451,8 @@ mod tests {
             g.base + 64,
             "the shrink must release the tail"
         );
-        assert!(t.lookup(&mut m, &ks[290..]).iter().all(|&f| f));
-        assert!(t.lookup(&mut m, &ks[..290]).iter().all(|&f| !f));
+        assert!(found(&t, &mut m, &ks[290..]).iter().all(|&f| f));
+        assert!(found(&t, &mut m, &ks[..290]).iter().all(|&f| !f));
     }
 
     #[test]
@@ -466,6 +469,6 @@ mod tests {
         t.insert_new(&mut m, &ks[40..]);
         assert_eq!(t.capacity(), 512);
         assert_eq!(t.geometry().base, above + 8);
-        assert!(t.lookup(&mut m, &ks).iter().all(|&f| f));
+        assert!(found(&t, &mut m, &ks).iter().all(|&f| f));
     }
 }

@@ -373,7 +373,7 @@ fn apply_and_complete(
     match catch_unwind(AssertUnwindSafe(|| state.apply_batch(&requests))) {
         Ok((responses, cost)) => {
             stats.record_batch(live.len(), cost);
-            debug_assert_eq!(responses.len(), live.len());
+            assert_eq!(responses.len(), live.len(), "one response per live request");
             for (env, resp) in live.into_iter().zip(responses) {
                 env.complete(resp);
             }
@@ -385,7 +385,7 @@ fn apply_and_complete(
             let mut responses = Vec::with_capacity(requests.len());
             let mut cost = BatchCost::default();
             isolate(state, stats, &requests, &mut responses, &mut cost);
-            debug_assert_eq!(responses.len(), live.len());
+            assert_eq!(responses.len(), live.len(), "one response per live request");
             stats.record_batch(live.len(), cost);
             stats.recovery_wall += recovery_start.elapsed();
             for (env, resp) in live.into_iter().zip(responses) {

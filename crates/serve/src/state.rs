@@ -1,13 +1,16 @@
 //! The service's live state and the batch-application step.
 //!
 //! [`ServiceState`] owns a persistent native machine plus the three
-//! workload states living in (or mirrored against) its shared memory:
+//! workload states living in its shared memory:
 //!
 //! * a machine-resident **hash set** ([`qrqw_core::OpenTable`]: open
 //!   addressing, double-hash probe sequences; inserts are occupy-mode
 //!   `Machine::claim`s, so a batch of inserts is exactly the paper's
 //!   low-contention cell-claiming step; deletes tombstone their cell, and
-//!   rebuilds purge the tombstones);
+//!   rebuilds purge the tombstones).  The table is the single source of
+//!   truth for which keys are present: every batch's hash requests are
+//!   answered from one probe step over the batch's distinct keys, taken
+//!   before the decode walk;
 //! * a machine-resident **counter bank** (a batch of adds/reads is one
 //!   emulated Fetch&Add step, Lemma 7.5);
 //! * a **task pool** (host-side FIFO index; every batch with task traffic
@@ -57,7 +60,7 @@
 //! while the counter region is compared raw (bit-identical) and the task
 //! pool by exact `(seq, payload)` content.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use qrqw_core::{emulate_fetch_add_step, load_balance_qrqw, OpenTable, TableGeometry};
 use qrqw_exec::{BatchCost, MachineSnapshot, PersistentMachine, StepPool};
@@ -106,18 +109,6 @@ pub struct StateDigest {
     pub next_seq: u64,
 }
 
-/// The machine-resident hash set plus its host mirror.
-#[derive(Debug)]
-struct HashSetState {
-    /// The table itself ([`OpenTable`]: double-hash probes, occupy-claim
-    /// insert rounds, tombstone deletes, in-place rebuilds sized to the
-    /// live set).
-    table: OpenTable,
-    /// Host mirror of the present keys (bookkeeping only; the machine
-    /// region is the measured artifact and the digest's source of truth).
-    mirror: HashSet<u64>,
-}
-
 /// Host-side FIFO index of the task pool.
 #[derive(Debug, Default)]
 struct TaskPool {
@@ -127,7 +118,7 @@ struct TaskPool {
 
 /// A point-in-time checkpoint of a [`ServiceState`]: the machine snapshot
 /// plus every host-side table [`ServiceState::apply_batch`] mutates (hash
-/// geometry and mirror, task pool, sequence counter).
+/// geometry, task pool, sequence counter).
 ///
 /// The batcher takes one before each batch; restoring it rolls the service
 /// back to exactly the pre-batch observable state (digest-identical), which
@@ -138,7 +129,6 @@ struct TaskPool {
 pub struct ServiceCheckpoint {
     machine: MachineSnapshot,
     hash_geo: TableGeometry,
-    hash_mirror: HashSet<u64>,
     pending: BTreeMap<u64, u64>,
     next_seq: u64,
 }
@@ -157,7 +147,9 @@ pub struct ServiceState {
     pm: PersistentMachine,
     config: ServiceConfig,
     counter_base: usize,
-    hash: HashSetState,
+    /// The hash set ([`OpenTable`]: double-hash probes, occupy-claim insert
+    /// rounds, tombstone deletes, in-place rebuilds sized to the live set).
+    table: OpenTable,
     tasks: TaskPool,
 }
 
@@ -165,19 +157,6 @@ pub struct ServiceState {
 enum Routed {
     /// Response fully determined at decode time.
     Done(Response),
-    /// Hash lookup: answered from the in-batch overlay when an earlier
-    /// request in this batch changed the key's presence, else from the
-    /// machine's pre-batch probe step.
-    Lookup {
-        /// Index into the batch's lookup-key vector.
-        idx: usize,
-        /// Presence as of this trace position, if an earlier request in
-        /// this batch inserted or deleted the key.
-        in_batch: Option<bool>,
-        /// Expected pre-batch presence (host mirror), cross-checked against
-        /// the machine's probe step.
-        pre_present: bool,
-    },
     /// Counter op: index into the batch's Fetch&Add request vector.
     Counter(usize),
 }
@@ -193,15 +172,12 @@ impl ServiceState {
     pub fn with_pool(config: ServiceConfig, pool: StepPool) -> Self {
         let mut pm = PersistentMachine::with_pool(16, config.seed, pool);
         let counter_base = pm.machine().alloc(config.num_counters.max(1));
-        let hash = HashSetState {
-            table: OpenTable::new(pm.machine(), config.hash_capacity),
-            mirror: HashSet::new(),
-        };
+        let table = OpenTable::new(pm.machine(), config.hash_capacity);
         ServiceState {
             pm,
             config,
             counter_base,
-            hash,
+            table,
             tasks: TaskPool::default(),
         }
     }
@@ -213,18 +189,18 @@ impl ServiceState {
 
     /// Number of keys in the hash set.
     pub fn hash_len(&self) -> usize {
-        self.hash.table.len()
+        self.table.len()
     }
 
     /// Tombstoned cells currently in the hash table (deleted keys whose
     /// cells have not yet been purged by a rebuild).
     pub fn hash_tombstones(&self) -> usize {
-        self.hash.table.tombstones()
+        self.table.tombstones()
     }
 
     /// Current hash-table capacity in cells.
     pub fn hash_capacity(&self) -> usize {
-        self.hash.table.capacity()
+        self.table.capacity()
     }
 
     /// Number of pending tasks.
@@ -238,9 +214,39 @@ impl ServiceState {
     /// Panics if the batch contains a [`Fault::Panic`] request (the server
     /// catches the unwind; direct callers see the panic).
     pub fn apply_batch(&mut self, batch: &[Request]) -> (Vec<Response>, BatchCost) {
+        let ServiceState {
+            pm,
+            config,
+            counter_base,
+            table,
+            tasks,
+        } = self;
+
+        // ---- Probe step: every distinct in-range hash key of the batch,
+        // in first-appearance order, located in the pre-batch table in one
+        // machine step.  A batch without hash keys issues no step.
+        let mut slot: HashMap<u64, usize> = HashMap::new();
+        let mut probe_keys: Vec<u64> = Vec::new();
+        for req in batch {
+            if let Request::HashInsert { key }
+            | Request::HashDelete { key }
+            | Request::HashLookup { key }
+            | Request::HashContains { key } = *req
+            {
+                if key < MAX_KEY {
+                    slot.entry(key).or_insert_with(|| {
+                        probe_keys.push(key);
+                        probe_keys.len() - 1
+                    });
+                }
+            }
+        }
+        let (cells, mut cost) = pm.batch(|m| table.locate(m, &probe_keys));
+        // The key's cell in the pre-batch table, `None` when absent.
+        let pre_cell = |key: u64| cells[slot[&key]];
+
         // ---- Decode walk (host-side, strictly in batch order). ----
         let mut routed: Vec<Routed> = Vec::with_capacity(batch.len());
-        let mut lookup_keys: Vec<u64> = Vec::new();
         // Presence-as-of-trace-position for every key whose presence an
         // earlier request in this batch *changed*, plus the first-touch
         // order.  Machine operations are derived from `touched` (a Vec, in
@@ -253,84 +259,78 @@ impl ServiceState {
         let mut task_ops = 0usize;
         for req in batch {
             let r = match *req {
+                Request::HashInsert { key }
+                | Request::HashDelete { key }
+                | Request::HashLookup { key }
+                | Request::HashContains { key }
+                    if key >= MAX_KEY =>
+                {
+                    Routed::Done(Err(ServiceError::KeyOutOfRange(key)))
+                }
                 Request::HashInsert { key } => {
-                    if key >= MAX_KEY {
-                        Routed::Done(Err(ServiceError::KeyOutOfRange(key)))
-                    } else {
-                        let was = overlay
-                            .get(&key)
-                            .copied()
-                            .unwrap_or_else(|| self.hash.mirror.contains(&key));
-                        if !was {
-                            if !overlay.contains_key(&key) {
-                                touched.push(key);
-                            }
-                            overlay.insert(key, true);
+                    let was = overlay
+                        .get(&key)
+                        .copied()
+                        .unwrap_or_else(|| pre_cell(key).is_some());
+                    if !was {
+                        if !overlay.contains_key(&key) {
+                            touched.push(key);
                         }
-                        Routed::Done(Ok(Reply::Inserted(!was)))
+                        overlay.insert(key, true);
                     }
+                    Routed::Done(Ok(Reply::Inserted(!was)))
                 }
                 Request::HashDelete { key } => {
-                    if key >= MAX_KEY {
-                        Routed::Done(Err(ServiceError::KeyOutOfRange(key)))
-                    } else {
-                        let was = overlay
-                            .get(&key)
-                            .copied()
-                            .unwrap_or_else(|| self.hash.mirror.contains(&key));
-                        if was {
-                            if !overlay.contains_key(&key) {
-                                touched.push(key);
-                            }
-                            overlay.insert(key, false);
+                    let was = overlay
+                        .get(&key)
+                        .copied()
+                        .unwrap_or_else(|| pre_cell(key).is_some());
+                    if was {
+                        if !overlay.contains_key(&key) {
+                            touched.push(key);
                         }
-                        Routed::Done(Ok(Reply::Removed(was)))
+                        overlay.insert(key, false);
                     }
+                    Routed::Done(Ok(Reply::Removed(was)))
                 }
                 Request::HashLookup { key } | Request::HashContains { key } => {
-                    if key >= MAX_KEY {
-                        Routed::Done(Err(ServiceError::KeyOutOfRange(key)))
-                    } else {
-                        lookup_keys.push(key);
-                        Routed::Lookup {
-                            idx: lookup_keys.len() - 1,
-                            in_batch: overlay.get(&key).copied(),
-                            pre_present: self.hash.mirror.contains(&key),
-                        }
-                    }
+                    let present = overlay
+                        .get(&key)
+                        .copied()
+                        .unwrap_or_else(|| pre_cell(key).is_some());
+                    Routed::Done(Ok(Reply::Found(present)))
+                }
+                Request::CounterAdd { counter, .. } | Request::CounterRead { counter }
+                    if counter >= config.num_counters =>
+                {
+                    Routed::Done(Err(ServiceError::UnknownCounter(counter)))
                 }
                 Request::CounterAdd { counter, delta } => {
-                    if counter >= self.config.num_counters {
-                        Routed::Done(Err(ServiceError::UnknownCounter(counter)))
-                    } else {
-                        fadd_reqs.push((self.counter_base + counter, delta));
-                        Routed::Counter(fadd_reqs.len() - 1)
-                    }
+                    fadd_reqs.push((*counter_base + counter, delta));
+                    Routed::Counter(fadd_reqs.len() - 1)
                 }
                 Request::CounterRead { counter } => {
-                    if counter >= self.config.num_counters {
-                        Routed::Done(Err(ServiceError::UnknownCounter(counter)))
-                    } else {
-                        // A read is a zero-delta Fetch&Add: it serializes
-                        // with the batch's adds at its own batch position.
-                        fadd_reqs.push((self.counter_base + counter, 0));
-                        Routed::Counter(fadd_reqs.len() - 1)
-                    }
+                    // A read is a zero-delta Fetch&Add: it serializes with
+                    // the batch's adds at its own batch position.
+                    fadd_reqs.push((*counter_base + counter, 0));
+                    Routed::Counter(fadd_reqs.len() - 1)
                 }
                 Request::TaskSubmit { payload } => {
                     task_ops += 1;
-                    let seq = self.tasks.next_seq;
-                    self.tasks.next_seq += 1;
-                    self.tasks.pending.insert(seq, payload);
+                    let seq = tasks.next_seq;
+                    tasks.next_seq += 1;
+                    tasks.pending.insert(seq, payload);
                     Routed::Done(Ok(Reply::TaskQueued(seq)))
                 }
                 Request::TaskSteal => {
                     task_ops += 1;
-                    let stolen = self.tasks.pending.pop_first();
+                    let stolen = tasks.pending.pop_first();
                     Routed::Done(Ok(Reply::TaskStolen(stolen)))
                 }
                 Request::Fault(Fault::Error) => Routed::Done(Err(ServiceError::Injected)),
                 Request::Fault(Fault::Panic) => {
+                    // Only the read-only probe step has run; a checkpoint
+                    // restore rewinds its step count.
                     panic!("qrqw-serve: injected panic while decoding a batch")
                 }
                 Request::Fault(Fault::Crash) => {
@@ -347,35 +347,27 @@ impl ServiceState {
         // presence ends where it started (insert-then-delete, or
         // delete-then-reinsert) needs no machine operation at all, which is
         // what keeps machine work a function of the trace rather than of
-        // the batch partition.
+        // the batch partition.  Dead keys are tombstoned at the cells the
+        // probe step found.
         let mut new_keys: Vec<u64> = Vec::new();
-        let mut dead_keys: Vec<u64> = Vec::new();
+        let mut dead_cells: Vec<Option<usize>> = Vec::new();
         for &key in &touched {
             let fin = overlay[&key];
-            let was = self.hash.mirror.contains(&key);
-            if fin && !was {
+            let cell = pre_cell(key);
+            if fin && cell.is_none() {
                 new_keys.push(key);
-            } else if !fin && was {
-                dead_keys.push(key);
+            } else if !fin && cell.is_some() {
+                dead_cells.push(cell);
             }
         }
 
-        // ---- Machine stage (fixed order: lookups against the pre-batch
-        // table, then deletes, then inserts, then the Fetch&Add step, then
-        // rebalancing).
-        let task_procs = self.config.task_procs.max(1);
-        let ServiceState {
-            pm, hash, tasks, ..
-        } = self;
+        // ---- Machine stage (fixed order: deletes, then inserts, then the
+        // Fetch&Add step, then rebalancing).
+        let task_procs = config.task_procs.max(1);
         let run_balance = task_ops > 0 && !tasks.pending.is_empty();
-        let ((lookup_found, olds), cost) = pm.batch(|m| {
-            let found = if lookup_keys.is_empty() {
-                Vec::new()
-            } else {
-                hash.table.lookup(m, &lookup_keys)
-            };
-            hash.table.remove_present(m, &dead_keys);
-            hash.table.insert_new(m, &new_keys);
+        let (olds, stage_cost) = pm.batch(|m| {
+            table.remove(m, &dead_cells);
+            table.insert_new(m, &new_keys);
             let olds = if fadd_reqs.is_empty() {
                 Vec::new()
             } else {
@@ -392,31 +384,15 @@ impl ServiceState {
                 let res = load_balance_qrqw(m, &loads);
                 debug_assert!(res.covers_exactly(&loads));
             }
-            (found, olds)
+            olds
         });
-
-        // Commit the batch's net key diff to the host mirror.
-        for &key in &dead_keys {
-            hash.mirror.remove(&key);
-        }
-        hash.mirror.extend(new_keys.iter().copied());
+        cost += stage_cost;
 
         // ---- Assemble responses in batch order. ----
         let responses: Vec<Response> = routed
             .into_iter()
             .map(|r| match r {
                 Routed::Done(resp) => resp,
-                Routed::Lookup {
-                    idx,
-                    in_batch,
-                    pre_present,
-                } => {
-                    debug_assert_eq!(
-                        lookup_found[idx], pre_present,
-                        "machine probe diverged from the host mirror"
-                    );
-                    Ok(Reply::Found(in_batch.unwrap_or(lookup_found[idx])))
-                }
                 Routed::Counter(idx) => Ok(Reply::Counter(olds[idx])),
             })
             .collect();
@@ -427,9 +403,13 @@ impl ServiceState {
     /// compared bit-exactly vs. canonically).
     pub fn digest(&self) -> StateDigest {
         let m = self.pm.machine_ref();
-        let mut hash_keys = self.hash.table.live_keys(m);
+        let mut hash_keys = self.table.live_keys(m);
         hash_keys.sort_unstable();
-        debug_assert_eq!(hash_keys.len(), self.hash.table.len());
+        assert_eq!(
+            hash_keys.len(),
+            self.table.len(),
+            "hash table occupancy counter drifted"
+        );
         StateDigest {
             hash_keys,
             counters: m.dump(self.counter_base, self.config.num_counters.max(1)),
@@ -442,8 +422,7 @@ impl ServiceState {
     /// allocation-light path the batcher uses before every batch.
     pub fn checkpoint_into(&self, ck: &mut ServiceCheckpoint) {
         self.pm.snapshot_into(&mut ck.machine);
-        ck.hash_geo = self.hash.table.geometry();
-        ck.hash_mirror.clone_from(&self.hash.mirror);
+        ck.hash_geo = self.table.geometry();
         ck.pending.clone_from(&self.tasks.pending);
         ck.next_seq = self.tasks.next_seq;
     }
@@ -456,15 +435,14 @@ impl ServiceState {
     }
 
     /// Rolls the service back to `ck`: machine memory, allocator, step and
-    /// contention counters, hash geometry/mirror, and the task pool all
+    /// contention counters, hash geometry, and the task pool all
     /// rewind, so the digest (and every subsequent reply) is exactly what
     /// it was at checkpoint time.  Restoring a checkpoint taken from a
     /// *different* service is a logic error (and panics if the machine
     /// shapes disagree).
     pub fn restore(&mut self, ck: &ServiceCheckpoint) {
         self.pm.restore(&ck.machine);
-        self.hash.table.restore_geometry(ck.hash_geo);
-        self.hash.mirror.clone_from(&ck.hash_mirror);
+        self.table.restore_geometry(ck.hash_geo);
         self.tasks.pending.clone_from(&ck.pending);
         self.tasks.next_seq = ck.next_seq;
     }

@@ -416,7 +416,7 @@ pub fn hashing_answers_membership_exactly<M: Machine>() {
 
 /// The churn-capable [`OpenTable`] answers exactly like a `HashSet` under
 /// seeded random churn whose insert-heavy, balanced and delete-heavy
-/// phases straddle the growth, purge and shrink thresholds: `lookup` and
+/// phases straddle the growth, purge and shrink thresholds: `locate` and
 /// `live_keys` agree with the model after every batch, the table stays at
 /// the allocation top (a rebuild reuses its region), and the backend
 /// executes the simulator's exact step and claim counts.
@@ -448,9 +448,11 @@ pub fn open_table_matches_a_hash_set<M: Machine>() {
                 }
             }
             let before = (t.capacity(), t.tombstones());
-            t_ref.remove_present(&mut reference, &dead_keys);
+            let dead_cells = t_ref.locate(&mut reference, &dead_keys);
+            t_ref.remove(&mut reference, &dead_cells);
             t_ref.insert_new(&mut reference, &new_keys);
-            t.remove_present(&mut m, &dead_keys);
+            let dead_cells = t.locate(&mut m, &dead_keys);
+            t.remove(&mut m, &dead_cells);
             t.insert_new(&mut m, &new_keys);
             for key in &dead_keys {
                 model.remove(key);
@@ -469,9 +471,14 @@ pub fn open_table_matches_a_hash_set<M: Machine>() {
             );
             let probes: Vec<u64> = (0..64).map(|_| rng.gen_range(0..KEYSPACE)).collect();
             let want: Vec<bool> = probes.iter().map(|k| model.contains(k)).collect();
-            assert_eq!(t.lookup(&mut m, &probes), want, "batch {batch}: lookup");
+            let found: Vec<bool> = t
+                .locate(&mut m, &probes)
+                .iter()
+                .map(Option::is_some)
+                .collect();
+            assert_eq!(found, want, "batch {batch}: lookup");
             // The reference probes too, keeping the step counters in step.
-            t_ref.lookup(&mut reference, &probes);
+            t_ref.locate(&mut reference, &probes);
             let mut live = t.live_keys(&m);
             live.sort_unstable();
             let mut expect: Vec<u64> = model.iter().copied().collect();
